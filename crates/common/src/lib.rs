@@ -1,14 +1,16 @@
 //! # relm-common
 //!
 //! Shared vocabulary for the RelM reproduction: memory/time units, a
-//! deterministic random-number generator, descriptive statistics helpers, and
+//! deterministic random-number generator, descriptive statistics helpers,
 //! the canonical [`MemoryConfig`] describing the memory-management knobs the
-//! paper tunes (Table 1 of the paper).
+//! paper tunes (Table 1 of the paper), and the [`durable`] file layer every
+//! checkpoint, store and dump is written through.
 //!
 //! Everything in this crate is dependency-light and platform-deterministic so
 //! that simulation results are exactly reproducible from a seed.
 
 pub mod config;
+pub mod durable;
 pub mod error;
 pub mod hash;
 pub mod mem;

@@ -1,8 +1,9 @@
 //! Content-addressed cache keys: a canonical, field-order-independent
 //! encoding hashed with FNV-1a 128.
 
+use relm_common::durable::canonical_json;
 use relm_common::hash::Fnv128;
-use serde::{Map, Serialize, Value};
+use serde::Serialize;
 use std::fmt;
 
 /// A 128-bit content hash identifying one evaluation.
@@ -18,11 +19,6 @@ pub struct EvalKey {
 }
 
 impl EvalKey {
-    /// Rebuilds a key from its two halves (used by the persistent store).
-    pub fn from_halves(hi: u64, lo: u64) -> Self {
-        EvalKey { hi, lo }
-    }
-
     /// The key as a fixed-width 32-character lowercase hex string — the
     /// on-disk representation (the vendored JSON stack has no 128-bit
     /// integers).
@@ -49,31 +45,6 @@ impl EvalKey {
 impl fmt::Display for EvalKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.hex())
-    }
-}
-
-/// Serializes a value to canonical JSON: nested object keys are sorted
-/// (recursively), so two values that differ only in field order encode —
-/// and therefore hash — identically. Arrays keep their element order;
-/// order is semantic there.
-pub fn canonical_json(value: &impl Serialize) -> String {
-    canonicalize(&value.to_value()).to_string()
-}
-
-/// Recursively sorts object keys; everything else passes through.
-pub(crate) fn canonicalize(value: &Value) -> Value {
-    match value {
-        Value::Object(map) => {
-            let mut entries: Vec<(&String, &Value)> = map.iter().collect();
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            let mut out = Map::new();
-            for (k, v) in entries {
-                out.insert(k.clone(), canonicalize(v));
-            }
-            Value::Object(out)
-        }
-        Value::Array(items) => Value::Array(items.iter().map(canonicalize).collect()),
-        other => other.clone(),
     }
 }
 
@@ -148,6 +119,7 @@ impl KeyBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::{Map, Value};
 
     #[test]
     fn hex_round_trips() {

@@ -22,10 +22,10 @@
 //!   one cheaply clonable handle, values shared out as `Arc`s, hit/miss/
 //!   insert totals mirrored to [`relm_obs`] as `evalcache.*` counters and
 //!   an `evalcache.hit_ratio` gauge.
-//! * [`store`] — the optional persistent JSONL store: versioned header,
-//!   per-entry FNV-1a checksum verified on load, atomic write-rename
-//!   save, and key-sorted output so the file bytes are independent of
-//!   insertion order and worker count.
+//! * [`store`] — the optional persistent store, one
+//!   [`relm_common::durable`] record file: key-sorted checksummed entries
+//!   (so the bytes are independent of insertion order and worker count),
+//!   damaged entries skipped and counted on load.
 //!
 //! ```
 //! use relm_evalcache::{EvalCache, KeyBuilder};
@@ -62,4 +62,5 @@ mod key;
 pub mod store;
 
 pub use cache::{CacheStats, EvalCache};
-pub use key::{canonical_json, EvalKey, KeyBuilder};
+pub use key::{EvalKey, KeyBuilder};
+pub use relm_common::durable::canonical_json;

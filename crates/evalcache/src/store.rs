@@ -1,28 +1,14 @@
-//! The persistent JSONL-backed store.
-//!
-//! Layout: a versioned header line followed by one entry per line, sorted
-//! by key so the file is a pure function of the cache *contents* —
-//! independent of insertion order, shard layout, or worker count:
-//!
-//! ```text
-//! {"kind":"relm-evalcache","version":1}
-//! {"key":"<32-hex>","check":<fnv64>,"value":{...}}
-//! ```
-//!
-//! `check` is FNV-1a 64 over the entry's canonical value JSON; loading
-//! re-canonicalizes each value and verifies the digest, so a truncated or
-//! hand-edited file is rejected instead of silently replaying a corrupted
-//! evaluation. Saves write a sibling temporary file (unique per process
-//! and save) and rename it into place, so a crash mid-save can never
-//! destroy the previous store.
+//! The persistent store: a [`relm_common::durable`] record file with one
+//! entry per cached value, keyed by its [`EvalKey`] hex. A damaged entry
+//! line is skipped and counted: it costs one re-evaluation and never
+//! replays a wrong value.
 
 use crate::cache::EvalCache;
-use crate::key::{canonical_json, canonicalize, EvalKey};
-use relm_common::hash::fnv1a64_str;
-use serde::{Deserialize, Map, Number, Serialize, Value};
+use crate::key::EvalKey;
+use relm_common::durable;
+use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Store format version; bumped whenever the line layout changes.
@@ -30,135 +16,35 @@ pub const STORE_VERSION: u32 = 1;
 /// The `kind` tag every store file starts with.
 pub const STORE_KIND: &str = "relm-evalcache";
 
-fn invalid(message: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message.into())
-}
-
-fn header_line() -> String {
-    let mut m = Map::new();
-    m.insert("kind", Value::String(STORE_KIND.to_string()));
-    m.insert("version", Value::Number(Number::U64(STORE_VERSION as u64)));
-    Value::Object(m).to_string()
-}
-
-/// Serializes the cache to `text` (header + key-sorted entries).
-fn render<V: Serialize>(cache: &EvalCache<V>) -> String {
-    let mut out = header_line();
-    out.push('\n');
-    for (key, value) in cache.entries() {
-        let value_json = canonical_json(value.as_ref());
-        let mut line = Map::new();
-        line.insert("key", Value::String(key.hex()));
-        line.insert(
-            "check",
-            Value::Number(Number::U64(fnv1a64_str(&value_json))),
-        );
-        line.insert(
-            "value",
-            serde_json::from_str(&value_json).expect("canonical JSON re-parses"),
-        );
-        out.push_str(&Value::Object(line).to_string());
-        out.push('\n');
-    }
-    out
-}
-
-/// Writes the cache to `path` atomically: the bytes land in a sibling
-/// temporary file first and are renamed into place.
+/// Writes the cache to `path` atomically and durably; the bytes depend
+/// only on the cache contents, not on insertion order or worker count.
 pub fn save<V: Serialize>(cache: &EvalCache<V>, path: &Path) -> io::Result<()> {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(
-        ".{}.{}.tmp",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, render(cache))?;
-    let renamed = std::fs::rename(&tmp, path);
-    if renamed.is_err() {
-        std::fs::remove_file(&tmp).ok();
-    }
-    renamed
+    let entries = cache.entries();
+    let records = entries
+        .iter()
+        .map(|(key, value)| (key.hex(), value.as_ref()));
+    durable::write(path, STORE_KIND, STORE_VERSION, records)
 }
 
-/// Parses one entry line into its verified `(key, value)` pair.
-fn parse_entry<V: Deserialize>(line: &str, lineno: usize) -> io::Result<(EvalKey, V)> {
-    let value: Value =
-        serde_json::from_str(line).map_err(|e| invalid(format!("store line {lineno}: {e}")))?;
-    let map = value
-        .as_object()
-        .ok_or_else(|| invalid(format!("store line {lineno}: not an object")))?;
-    let key = map
-        .get("key")
-        .and_then(Value::as_str)
-        .and_then(EvalKey::from_hex)
-        .ok_or_else(|| invalid(format!("store line {lineno}: bad key")))?;
-    let check = map
-        .get("check")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| invalid(format!("store line {lineno}: bad check")))?;
-    let payload = map
-        .get("value")
-        .ok_or_else(|| invalid(format!("store line {lineno}: missing value")))?;
-    let value_json = canonicalize(payload).to_string();
-    if fnv1a64_str(&value_json) != check {
-        return Err(invalid(format!(
-            "store line {lineno}: checksum mismatch (corrupted entry for key {key})"
-        )));
-    }
-    let parsed: V = serde_json::from_str(&value_json)
-        .map_err(|e| invalid(format!("store line {lineno}: {e}")))?;
-    Ok((key, parsed))
-}
-
-/// Reads a store file and returns its verified entries in file order.
-pub fn read<V: Deserialize>(path: &Path) -> io::Result<Vec<(EvalKey, V)>> {
-    let text = std::fs::read_to_string(path)?;
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| invalid("store file is empty (missing header)"))?;
-    let header: Value =
-        serde_json::from_str(header).map_err(|e| invalid(format!("store header: {e}")))?;
-    let kind = header
-        .as_object()
-        .and_then(|m| m.get("kind"))
-        .and_then(Value::as_str);
-    if kind != Some(STORE_KIND) {
-        return Err(invalid(format!(
-            "store header kind is {kind:?}, expected {STORE_KIND:?}"
-        )));
-    }
-    let version = header
-        .as_object()
-        .and_then(|m| m.get("version"))
-        .and_then(Value::as_u64);
-    if version != Some(STORE_VERSION as u64) {
-        return Err(invalid(format!(
-            "store version {version:?} is not the supported version {STORE_VERSION}"
-        )));
-    }
-    let mut entries = Vec::new();
-    for (i, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        entries.push(parse_entry(line, i + 1)?);
-    }
-    Ok(entries)
+/// Reads a store file: its verified entries in file order, and the number
+/// of damaged entry lines skipped.
+pub fn read<V: Deserialize>(path: &Path) -> io::Result<(Vec<(EvalKey, V)>, u64)> {
+    durable::read(path, STORE_KIND, STORE_VERSION, |key, value| {
+        Some((EvalKey::from_hex(&key)?, value))
+    })
 }
 
 /// Loads a store file into the cache, returning how many entries were
-/// restored. Restored entries do not count as inserts; the wall-clock
-/// cost and volume land on `evalcache.{load_ms,bytes}`.
-pub fn load<V: Serialize + Deserialize>(cache: &EvalCache<V>, path: &Path) -> io::Result<usize> {
+/// restored and how many damaged entry lines were skipped. Restored
+/// entries do not count as inserts; the wall-clock cost, the file size and
+/// the skips land on `evalcache.{load_ms,bytes,skipped}`.
+pub fn load<V: Serialize + Deserialize>(
+    cache: &EvalCache<V>,
+    path: &Path,
+) -> io::Result<(usize, u64)> {
     let start = Instant::now();
     let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    let entries = read::<V>(path)?;
+    let (entries, skipped) = read::<V>(path)?;
     let restored = entries.len();
     for (key, value) in entries {
         cache.restore(key, value);
@@ -166,7 +52,10 @@ pub fn load<V: Serialize + Deserialize>(cache: &EvalCache<V>, path: &Path) -> io
     let obs = cache.obs();
     obs.add("evalcache.load_ms", start.elapsed().as_secs_f64() * 1e3);
     obs.add("evalcache.bytes", bytes as f64);
-    Ok(restored)
+    if skipped > 0 {
+        obs.add("evalcache.skipped", skipped as f64);
+    }
+    Ok((restored, skipped))
 }
 
 #[cfg(test)]
@@ -196,7 +85,7 @@ mod tests {
         let cache = sample_cache();
         save(&cache, &path).unwrap();
         let restored: EvalCache<Vec<f64>> = EvalCache::new();
-        assert_eq!(load(&restored, &path).unwrap(), 5);
+        assert_eq!(load(&restored, &path).unwrap(), (5, 0));
         assert_eq!(restored.len(), 5);
         for (key, value) in cache.entries() {
             assert_eq!(restored.get(&key).unwrap().as_ref(), value.as_ref());
@@ -223,7 +112,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_values_are_rejected() {
+    fn corrupted_values_are_skipped_and_counted() {
         let path = tmp_path("corrupt");
         save(&sample_cache(), &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -231,8 +120,9 @@ mod tests {
         let corrupted = text.replacen("0.5", "0.75", 1);
         assert_ne!(text, corrupted);
         std::fs::write(&path, corrupted).unwrap();
-        let err = read::<Vec<f64>>(&path).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
+        let restored: EvalCache<Vec<f64>> = EvalCache::instrumented(relm_obs::Obs::enabled());
+        assert_eq!(load(&restored, &path).unwrap(), (4, 1));
+        assert_eq!(restored.obs().counter_value("evalcache.skipped"), 1.0);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -161,10 +161,10 @@ fn main() {
     let cache = use_cache.then(EvalStore::new);
     if let Some(cache) = &cache {
         if cache_file.exists() {
-            let loaded = relm_evalcache::store::load(cache, &cache_file)
-                .expect("evaluation cache file is readable and verified");
+            let (loaded, skipped) = relm_evalcache::store::load(cache, &cache_file)
+                .expect("evaluation cache file is readable");
             println!(
-                "evalcache: loaded {loaded} entries from {}",
+                "evalcache: loaded {loaded} entries ({skipped} damaged skipped) from {}",
                 cache_file.display()
             );
         }

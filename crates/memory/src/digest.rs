@@ -10,16 +10,21 @@
 //! environment or a retained profile.
 
 use crate::fingerprint::Fingerprint;
+use relm_common::durable;
 use relm_common::{Error, MemoryConfig, Result};
 use relm_evalcache::{EvalKey, KeyBuilder};
 use relm_profile::DerivedStats;
 use relm_tune::TuningEnv;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Digest schema version; bumped on any incompatible layout change.
 pub const DIGEST_VERSION: u32 = 1;
+
+/// The `kind` tag of a digest sidecar file.
+const DIGEST_FILE_KIND: &str = "relm-digest";
+/// Digest sidecar file format version.
+const DIGEST_FILE_VERSION: u32 = 2;
 
 /// One settled observation, compacted for cross-session reuse.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -114,45 +119,30 @@ impl SessionDigest {
             .min_by(f64::total_cmp)
     }
 
-    /// Writes the digest to `path` atomically (temp file + rename, like a
-    /// checkpoint), creating parent directories as needed. Concurrent
-    /// savers to one path never tear: each writes its own temp file and
-    /// the rename is atomic.
+    /// Writes the digest to `path` as a one-record
+    /// [`relm_common::durable`] file under its [`SessionDigest::key`] —
+    /// the same line a memory store holds for it — atomically and durably,
+    /// creating parent directories as needed.
     pub fn save(&self, path: &Path) -> Result<()> {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| Error::Tuning(format!("digest dir: {e}")))?;
-            }
-        }
-        let tmp = path.with_extension(format!(
-            "{}.{}.tmp",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let body = serde_json::to_string_pretty(self)
-            .map_err(|e| Error::Tuning(format!("digest encode: {e}")))?;
-        std::fs::write(&tmp, body).map_err(|e| Error::Tuning(format!("digest write: {e}")))?;
-        std::fs::rename(&tmp, path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            Error::Tuning(format!("digest rename: {e}"))
-        })
+        let records = [(self.key().hex(), self)];
+        durable::write(path, DIGEST_FILE_KIND, DIGEST_FILE_VERSION, records)
+            .map_err(|e| Error::Tuning(format!("digest write: {e}")))
     }
 
-    /// Reads a digest back, rejecting unknown schema versions.
+    /// Reads a digest back, rejecting damaged files and unknown schema
+    /// versions.
     pub fn load(path: &Path) -> Result<Self> {
-        let body = std::fs::read_to_string(path)
-            .map_err(|e| Error::Tuning(format!("digest read: {e}")))?;
-        let digest: SessionDigest =
-            serde_json::from_str(&body).map_err(|e| Error::Tuning(format!("digest parse: {e}")))?;
-        if digest.version != DIGEST_VERSION {
-            return Err(Error::Tuning(format!(
-                "digest version {} unsupported (expected {DIGEST_VERSION})",
-                digest.version
-            )));
-        }
-        Ok(digest)
+        durable::read_one(path, DIGEST_FILE_KIND, DIGEST_FILE_VERSION, Self::verified)
+            .map(|(_, digest)| digest)
+            .map_err(|e| Error::Tuning(format!("digest read: {e}")))
+    }
+
+    /// Accepts a stored `(key, digest)` record only when the digest has
+    /// this build's schema version and `key` is its own content address —
+    /// the key is not covered by the record checksum, so this is what
+    /// catches a damaged key.
+    pub(crate) fn verified(key: String, digest: SessionDigest) -> Option<(String, SessionDigest)> {
+        (digest.version == DIGEST_VERSION && key == digest.key().hex()).then_some((key, digest))
     }
 }
 

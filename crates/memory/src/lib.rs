@@ -15,11 +15,10 @@
 //!   with no live profile needed.
 //! * [`Fingerprint`] — the normalized statistics vector; distance between
 //!   fingerprints is the workload-similarity metric.
-//! * [`MemoryStore`] — the persistent store: checksummed JSONL (the
-//!   evalcache's atomic write-rename and canonical-hash idioms), key-sorted
-//!   so the bytes are reproducible, with *skip-and-count* semantics for
-//!   corrupted entries (memory informs priors; it never falsifies
-//!   results, so a damaged line degrades instead of failing the load).
+//! * [`MemoryStore`] — the persistent store: one
+//!   [`relm_common::durable`] record file, key-sorted so the bytes are
+//!   reproducible; a damaged entry is skipped and counted, so it degrades
+//!   a warm start instead of failing the load.
 //! * [`PriorBundle`] / [`build_prior`] — similarity-retrieved warm starts
 //!   per tuner family: GP observations for BO/GBO, weighted mean stats
 //!   for RelM, retrieved digests for DDPG replay seeding.

@@ -7,25 +7,14 @@
 //! committed record). When an evaluation dies to a fault, when the
 //! service drains, or when a client sends an explicit `Dump` request, the
 //! ring is frozen into a [`FlightDump`] and written under
-//! `results/flightrec/` by [`save_dump`] — atomically (unique temp file +
-//! rename, the evalcache idiom) and checksummed, so a dump written as the
-//! process is going down is either complete and verifiable or absent,
-//! never torn.
-//!
-//! ## On-disk format
-//!
-//! Two JSON lines:
-//!
-//! ```text
-//! {"kind":"relm-flightrec","version":1,"session":"s-0001","check":1234}
-//! {"session":"s-0001","reason":"fault", ...}
-//! ```
-//!
-//! `check` is the FNV-1a hash of the payload line's raw bytes;
-//! [`read_dump`] refuses kind/version mismatches and corrupt payloads.
+//! `results/flightrec/` by [`save_dump`] as a one-record
+//! [`relm_common::durable`] file keyed by the session — checksummed, and
+//! atomic and durable, so a dump written as the process is going down is
+//! either complete and verifiable or absent, never torn. [`read_dump`]
+//! refuses kind/version mismatches and damaged records.
 
 use crate::span::SpanRecord;
-use relm_common::hash::fnv1a64_str;
+use relm_common::durable;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io;
@@ -34,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// On-disk format version; bump on any incompatible change.
-pub const FLIGHTREC_VERSION: u64 = 1;
+pub const FLIGHTREC_VERSION: u32 = 2;
 
 /// Default ring capacity: enough for the full lifecycle of dozens of
 /// requests per session while bounding each session to a few hundred KB.
@@ -173,72 +162,24 @@ fn safe_name(s: &str) -> String {
 }
 
 /// Writes `dump` under `dir` (created if missing) and returns the file
-/// path. Atomic: the payload lands in a uniquely named temp file which is
-/// renamed into place, so readers never observe a partial dump.
+/// path. Atomic: readers never observe a partial dump.
 pub fn save_dump(dir: impl AsRef<Path>, dump: &FlightDump) -> io::Result<PathBuf> {
-    let dir = dir.as_ref();
-    std::fs::create_dir_all(dir)?;
-    let payload = serde_json::to_string(dump).map_err(|e| io::Error::other(e.to_string()))?;
-    let header = format!(
-        "{{\"kind\":\"{KIND}\",\"version\":{FLIGHTREC_VERSION},\"session\":{},\"check\":{}}}",
-        serde_json::to_string(&dump.session).map_err(|e| io::Error::other(e.to_string()))?,
-        fnv1a64_str(&payload)
-    );
     let seq = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
     let name = format!(
         "{}-{}-{seq}.flight.json",
         safe_name(&dump.session),
         safe_name(&dump.reason)
     );
-    let path = dir.join(&name);
-    let tmp = dir.join(format!("{name}.{}.{seq}.tmp", std::process::id()));
-    std::fs::write(&tmp, format!("{header}\n{payload}\n"))?;
-    match std::fs::rename(&tmp, &path) {
-        Ok(()) => Ok(path),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
-
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
+    let path = dir.as_ref().join(name);
+    let records = [(dump.session.clone(), dump)];
+    durable::write(&path, KIND, FLIGHTREC_VERSION, records)?;
+    Ok(path)
 }
 
 /// Reads and verifies a dump written by [`save_dump`].
 pub fn read_dump(path: impl AsRef<Path>) -> io::Result<FlightDump> {
-    let text = std::fs::read_to_string(path.as_ref())?;
-    let mut lines = text.lines();
-    let header_line = lines
-        .next()
-        .ok_or_else(|| invalid("empty flight dump".to_string()))?;
-    let payload_line = lines
-        .next()
-        .ok_or_else(|| invalid("flight dump missing payload line".to_string()))?;
-    let header: serde_json::Value =
-        serde_json::from_str(header_line).map_err(|e| invalid(format!("bad header: {e}")))?;
-    let header = header
-        .as_object()
-        .ok_or_else(|| invalid("flight dump header is not an object".to_string()))?;
-    let kind = header.get("kind").and_then(serde_json::Value::as_str);
-    if kind != Some(KIND) {
-        return Err(invalid(format!("not a flight dump (kind={kind:?})")));
-    }
-    let version = header.get("version").and_then(serde_json::Value::as_u64);
-    if version != Some(FLIGHTREC_VERSION) {
-        return Err(invalid(format!(
-            "unsupported flight dump version {version:?} (want {FLIGHTREC_VERSION})"
-        )));
-    }
-    let check = header
-        .get("check")
-        .and_then(serde_json::Value::as_u64)
-        .ok_or_else(|| invalid("flight dump header missing check".to_string()))?;
-    if fnv1a64_str(payload_line) != check {
-        return Err(invalid("flight dump checksum mismatch".to_string()));
-    }
-    serde_json::from_str(payload_line).map_err(|e| invalid(format!("bad payload: {e}")))
+    let accept = |key, dump: FlightDump| (key == dump.session).then_some(dump);
+    durable::read_one(path.as_ref(), KIND, FLIGHTREC_VERSION, accept)
 }
 
 #[cfg(test)]
@@ -309,22 +250,14 @@ mod tests {
         assert_ne!(tampered, text);
         std::fs::write(&path, &tampered).unwrap();
         let err = read_dump(&path).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
+        assert!(err.to_string().contains("damaged"), "{err}");
 
         // Wrong kind.
-        std::fs::write(
-            &path,
-            "{\"kind\":\"other\",\"version\":1,\"check\":0}\n{}\n",
-        )
-        .unwrap();
+        std::fs::write(&path, "{\"kind\":\"other\",\"version\":2}\n").unwrap();
         assert!(read_dump(&path).unwrap_err().to_string().contains("kind"));
 
         // Future version.
-        std::fs::write(
-            &path,
-            format!("{{\"kind\":\"{KIND}\",\"version\":999,\"check\":0}}\n{{}}\n"),
-        )
-        .unwrap();
+        std::fs::write(&path, format!("{{\"kind\":\"{KIND}\",\"version\":999}}\n")).unwrap();
         assert!(read_dump(&path)
             .unwrap_err()
             .to_string()

@@ -295,8 +295,10 @@ impl Parser<'_> {
                     .map_err(|_| Error::msg(format!("invalid number `{text}`")))?,
             )
         } else if let Some(stripped) = text.strip_prefix('-') {
-            // Negative integer; fall back to f64 on i64 overflow.
+            // Negative integer; fall back to f64 on i64 overflow. Only a
+            // float prints as `-0`, so it parses back as one, sign kept.
             match stripped.parse::<i64>() {
+                Ok(0) => Number::F64(-0.0),
                 Ok(x) => Number::I64(-x),
                 Err(_) => Number::F64(
                     text.parse::<f64>()
@@ -347,6 +349,14 @@ mod tests {
             .unwrap();
         let text = v.to_string();
         assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn negative_zero_keeps_its_sign() {
+        let text = Value::Number(Number::F64(-0.0)).to_string();
+        assert_eq!(text, "-0");
+        let back = parse(&text).unwrap().as_f64().unwrap();
+        assert_eq!(back.to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

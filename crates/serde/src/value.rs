@@ -84,6 +84,16 @@ impl Map {
     pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
         self.entries.iter().map(|(k, v)| (k, v))
     }
+
+    /// Iterates over the values mutably, in entry order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut Value> {
+        self.entries.iter_mut().map(|(_, v)| v)
+    }
+
+    /// Sorts the entries by key.
+    pub fn sort_keys(&mut self) {
+        self.entries.sort_by(|a, b| a.0.cmp(&b.0));
+    }
 }
 
 /// A JSON value.

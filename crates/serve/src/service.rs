@@ -1500,7 +1500,7 @@ impl Service {
                     };
                     let ckpt = SessionCheckpoint::capture(env);
                     let path = dir.join(format!("{name}.ckpt.json"));
-                    match ckpt.save_tagged(&path, name) {
+                    match ckpt.save(&path) {
                         Ok(()) => {
                             checkpointed += 1;
                             shared.obs.inc("serve.checkpointed");
@@ -2030,7 +2030,7 @@ fn evict_one_locked(shared: &Shared, state: &mut State, name: &str) -> Result<St
     }
     let path = dir.join(format!("{name}.evict.json"));
     let ckpt = SessionCheckpoint::capture(&env);
-    match ckpt.save_tagged(&path, name) {
+    match ckpt.spill(&path) {
         Ok(()) => {
             // The restored environment's cache-hit counter restarts at
             // zero; bank what's accrued so the mirror stays monotone.

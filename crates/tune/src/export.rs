@@ -11,7 +11,7 @@ use crate::env::{Observation, TuningEnv};
 use crate::tuner::Recommendation;
 use relm_app::{AppSpec, Engine};
 use relm_cluster::ClusterSpec;
-use relm_common::{MemoryConfig, Millis};
+use relm_common::{durable, MemoryConfig, Millis};
 use relm_faults::AbortCause;
 use relm_obs::HistogramSummary;
 use serde::{Deserialize, Serialize};
@@ -165,8 +165,6 @@ pub fn session_export(env: &TuningEnv, rec: &Recommendation) -> SessionExport {
 /// are byte-identical.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionCheckpoint {
-    /// Format version, for forward compatibility.
-    pub version: u32,
     /// The application under tuning.
     pub app: AppSpec,
     /// The seed the next evaluation will run under.
@@ -180,13 +178,15 @@ pub struct SessionCheckpoint {
 }
 
 /// The checkpoint format version written by this build.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
+
+/// The `kind` tag of a checkpoint file.
+const CHECKPOINT_KIND: &str = "relm-checkpoint";
 
 impl SessionCheckpoint {
     /// Captures the resumable state of a session in progress.
     pub fn capture(env: &TuningEnv) -> Self {
         SessionCheckpoint {
-            version: CHECKPOINT_VERSION,
             app: env.app().clone(),
             next_seed: env.next_seed(),
             worst_mins: env.worst_mins(),
@@ -210,63 +210,37 @@ impl SessionCheckpoint {
         )
     }
 
-    /// Atomically writes the checkpoint to `path`: the JSON goes to a
-    /// sibling temporary file first and is renamed into place, so a crash
-    /// mid-write leaves either the previous checkpoint or none — never a
-    /// torn file.
+    /// Writes the checkpoint to `path` as a one-record
+    /// [`relm_common::durable`] file keyed by the application name —
+    /// checksummed, atomic and fsynced, so a crash mid-write leaves either
+    /// the previous checkpoint or none, never a torn or altered file.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        self.save_tagged(path, "ckpt")
+        durable::write_atomic(path, self.encode().as_bytes())
     }
 
-    /// [`SessionCheckpoint::save`] with a caller-supplied tag woven into
-    /// the temporary file's name.
-    ///
-    /// Writers sharing a results directory — or even the *same* target
-    /// path — must not share a temporary file, or one writer's rename can
-    /// promote another writer's half-written JSON. The temporary name
-    /// therefore embeds the sanitized tag (e.g. a session id), the process
-    /// id, and a process-wide sequence number, making it unique across
-    /// concurrent writers in and across processes.
-    pub fn save_tagged(&self, path: &Path, tag: &str) -> io::Result<()> {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let json = serde_json::to_string(self)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let tag: String = tag
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-            .collect();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(
-            ".{}.{}.{}.tmp",
-            tag,
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, json)?;
-        let renamed = std::fs::rename(&tmp, path);
-        if renamed.is_err() {
-            std::fs::remove_file(&tmp).ok();
-        }
-        renamed
+    /// Writes the same file as [`SessionCheckpoint::save`], but in place
+    /// and without fsync: for an eviction spill, which only the writing
+    /// process reads back — never during the write, never after a restart.
+    pub fn spill(&self, path: &Path) -> io::Result<()> {
+        std::fs::write(path, self.encode())
     }
 
-    /// Loads a checkpoint written by [`SessionCheckpoint::save`].
+    fn encode(&self) -> String {
+        let records = [(self.app.name.clone(), self)];
+        durable::encode(CHECKPOINT_KIND, CHECKPOINT_VERSION, records)
+    }
+
+    /// The same as [`SessionCheckpoint::save`]: temporary file names are
+    /// already unique per process and save, so the tag is not used.
+    pub fn save_tagged(&self, path: &Path, _tag: &str) -> io::Result<()> {
+        self.save(path)
+    }
+
+    /// Loads a checkpoint written by [`SessionCheckpoint::save`], rejecting
+    /// damaged files and unknown versions.
     pub fn load(path: &Path) -> io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        let ckpt: SessionCheckpoint = serde_json::from_str(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        if ckpt.version != CHECKPOINT_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "checkpoint version {} not supported (expected {})",
-                    ckpt.version, CHECKPOINT_VERSION
-                ),
-            ));
-        }
-        Ok(ckpt)
+        let accept = |key, ckpt: Self| (key == ckpt.app.name).then_some(ckpt);
+        durable::read_one(path, CHECKPOINT_KIND, CHECKPOINT_VERSION, accept)
     }
 }
 
@@ -439,10 +413,9 @@ mod tests {
         use relm_workloads::{max_resource_allocation, wordcount};
         use std::sync::Arc;
 
-        // Two sessions sharing one results path (the historical collision:
-        // both used `<path>.tmp`). Hammer saves from both threads; every
-        // load in between — and the final one — must parse as a complete
-        // checkpoint, never a torn or mixed file.
+        // Two sessions sharing one results path. Hammer saves from both
+        // threads; every load in between — and the final one — must parse
+        // as a complete checkpoint, never a torn or mixed file.
         let make = |seed: u64, evals: usize| {
             let mut env = TuningEnv::new(
                 relm_app::Engine::new(ClusterSpec::cluster_a()),
@@ -462,13 +435,13 @@ mod tests {
         );
         let _ = std::fs::remove_file(path.as_path());
 
-        let threads: Vec<_> = [(a.clone(), "s-0001"), (b.clone(), "s-0002")]
+        let threads: Vec<_> = [a.clone(), b.clone()]
             .into_iter()
-            .map(|(ckpt, tag)| {
+            .map(|ckpt| {
                 let path = Arc::clone(&path);
                 std::thread::spawn(move || {
                     for _ in 0..50 {
-                        ckpt.save_tagged(&path, tag).unwrap();
+                        ckpt.save(&path).unwrap();
                     }
                 })
             })
@@ -506,11 +479,18 @@ mod tests {
             wordcount(),
             7,
         );
-        let mut ckpt = SessionCheckpoint::capture(&env);
-        ckpt.version = 999;
+        let ckpt = SessionCheckpoint::capture(&env);
         let path =
             std::env::temp_dir().join(format!("relm_ckpt_ver_test_{}.json", std::process::id()));
         ckpt.save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let bumped = text.replacen(
+            &format!("\"version\":{CHECKPOINT_VERSION}"),
+            "\"version\":999",
+            1,
+        );
+        assert_ne!(text, bumped);
+        std::fs::write(&path, bumped).unwrap();
         assert!(SessionCheckpoint::load(&path).is_err());
         std::fs::remove_file(&path).ok();
     }

@@ -116,7 +116,7 @@ fn replay_survives_the_persistent_store() {
     relm_evalcache::store::save(&cache, &path).expect("save");
     let restored: EvalStore = EvalStore::new();
     let loaded = relm_evalcache::store::load(&restored, &path).expect("load");
-    assert_eq!(loaded, EVALS);
+    assert_eq!(loaded, (EVALS, 0));
 
     // A fresh process (fresh cache handle, fresh obs) replaying from disk
     // must reproduce the original session exactly.

@@ -19,6 +19,12 @@ cargo build --workspace --release
 echo "== cargo test =="
 cargo test --workspace --release -q
 
+echo "== relmbench build + self-test =="
+# The benchmark is a package outside the workspace that calls only the
+# workspace's pub API; building and self-testing it here catches a pub
+# API change it depends on.
+cargo test --release --offline -q --manifest-path relmbench/Cargo.toml
+
 echo "== deterministic replay smoke test =="
 # The fault sweep writes only simulated quantities, so the same build must
 # produce byte-identical JSONL on every run — including across worker
