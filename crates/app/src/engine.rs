@@ -29,7 +29,7 @@ use relm_common::{Mem, MemoryConfig, Millis, Rng};
 use relm_faults::{AbortCause, FaultPlan, ProfileNoise};
 use relm_jvm::{GcCostModel, GcSettings, JvmSim, WavePressure};
 use relm_obs::Obs;
-use relm_profile::{ContainerTrace, Profile};
+use relm_profile::{ContainerTrace, Profile, Timeline};
 use serde::{Deserialize, Serialize};
 
 /// Tunable constants of the execution model.
@@ -100,11 +100,23 @@ struct ContainerState {
 }
 
 impl ContainerState {
-    fn new(heap: Mem, settings: GcSettings, gc: GcCostModel, m_i: Mem, rng: Rng) -> Self {
+    /// A fresh container JVM whose per-wave timelines have room for
+    /// `waves` samples each.
+    fn new(
+        heap: Mem,
+        settings: GcSettings,
+        gc: GcCostModel,
+        m_i: Mem,
+        rng: Rng,
+        waves: usize,
+    ) -> Self {
         let mut jvm = JvmSim::new(heap, settings, gc);
         jvm.set_code_overhead(m_i);
         let trace = ContainerTrace {
             code_overhead: m_i,
+            running_tasks: Timeline::with_capacity(waves),
+            cache_used: Timeline::with_capacity(waves),
+            shuffle_used: Timeline::with_capacity(waves),
             ..Default::default()
         };
         ContainerState {
@@ -259,9 +271,17 @@ enum WaveAttempt {
 struct RunSim<'a> {
     engine: &'a Engine,
     app: &'a AppSpec,
+    /// The expanded stage schedule (`AppSpec::schedule`).
+    schedule: Vec<usize>,
     config: MemoryConfig,
     container_spec: ContainerSpec,
     containers: Vec<ContainerState>,
+    /// Memoized sticky skew factors, one slot per (stage, wave, container)
+    /// and NaN until first drawn: stage `s` owns the slots from
+    /// `skew_base[s]`, wave-major. Iteration bodies and retries revisit the
+    /// same coordinates, and the factor is a pure function of them.
+    skew: Vec<f64>,
+    skew_base: Vec<usize>,
     rm: ResourceManager,
     now: Millis,
     aborted: bool,
@@ -312,6 +332,16 @@ impl<'a> RunSim<'a> {
         let container_spec = cluster.container(config.containers_per_node);
         let n_containers = cluster.total_containers(config.containers_per_node);
         let settings = GcSettings::from_config(config);
+        let schedule = app.schedule();
+        let total_slots = n_containers * config.task_concurrency.max(1);
+        let waves = |s: &StageSpec| s.tasks.div_ceil(total_slots) as usize;
+        let scheduled_waves = schedule.iter().map(|&i| waves(&app.stages[i])).sum();
+        let mut skew_base = Vec::with_capacity(app.stages.len());
+        let mut skew_slots = 0;
+        for stage in &app.stages {
+            skew_base.push(skew_slots);
+            skew_slots += waves(stage) * n_containers as usize;
+        }
         let root = Rng::new(seed);
         let containers: Vec<ContainerState> = (0..n_containers)
             .map(|i| {
@@ -321,6 +351,7 @@ impl<'a> RunSim<'a> {
                     engine.cost.gc,
                     app.code_overhead,
                     root.fork(i as u64 + 1),
+                    scheduled_waves,
                 )
             })
             .collect();
@@ -354,9 +385,12 @@ impl<'a> RunSim<'a> {
         RunSim {
             engine,
             app,
+            schedule,
             config: *config,
             container_spec,
             containers,
+            skew: vec![f64::NAN; skew_slots],
+            skew_base,
             rm: ResourceManager::new(),
             now: engine.cost.startup,
             aborted: false,
@@ -376,9 +410,10 @@ impl<'a> RunSim<'a> {
     }
 
     fn execute(&mut self) -> (RunResult, Profile) {
-        for &stage_idx in &self.app.schedule() {
-            let stage = self.app.stages[stage_idx].clone();
-            self.run_stage(&stage);
+        let app = self.app;
+        for i in 0..self.schedule.len() {
+            let stage_idx = self.schedule[i];
+            self.run_stage(stage_idx, &app.stages[stage_idx]);
             if self.aborted {
                 break;
             }
@@ -386,7 +421,7 @@ impl<'a> RunSim<'a> {
         self.finish()
     }
 
-    fn run_stage(&mut self, stage: &StageSpec) {
+    fn run_stage(&mut self, stage_idx: usize, stage: &StageSpec) {
         let n_containers = self.containers.len() as u32;
         let p = self.config.task_concurrency.max(1);
         let total_slots = n_containers * p;
@@ -400,7 +435,7 @@ impl<'a> RunSim<'a> {
 
             let mut attempts = 0u32;
             loop {
-                match self.attempt_wave(stage, wave, base, extra, attempts) {
+                match self.attempt_wave(stage_idx, stage, wave, base, extra, attempts) {
                     WaveAttempt::Ok => break,
                     WaveAttempt::ContainerFailed {
                         idx,
@@ -443,6 +478,7 @@ impl<'a> RunSim<'a> {
     fn simulate_container(
         &mut self,
         idx: usize,
+        stage_idx: usize,
         stage: &StageSpec,
         wave_idx: u32,
         tasks: u32,
@@ -555,8 +591,12 @@ impl<'a> RunSim<'a> {
         // many tasks smooths allocation peaks that would sink a small heap
         // running few tasks.
         let noise_scale = 1.0 / m_f.sqrt();
-        let skew = Rng::new(skew_hash(self.seed, &stage.name, wave_idx, idx))
-            .noise_factor(cost.skew_noise * noise_scale);
+        let slot = self.skew_base[stage_idx] + wave_idx as usize * self.containers.len() + idx;
+        if self.skew[slot].is_nan() {
+            self.skew[slot] = Rng::new(skew_hash(self.seed, &stage.name, wave_idx, idx))
+                .noise_factor(cost.skew_noise * noise_scale);
+        }
+        let skew = self.skew[slot];
         let state = &mut self.containers[idx];
         let mem_noise = state.rng.noise_factor(cost.mem_noise * noise_scale);
         let working = stage.unmanaged_per_task * m_f * skew * mem_noise;
@@ -627,6 +667,7 @@ impl<'a> RunSim<'a> {
     /// Simulates one attempt at a wave across all containers.
     fn attempt_wave(
         &mut self,
+        stage_idx: usize,
         stage: &StageSpec,
         wave_idx: u32,
         base_tasks: u32,
@@ -670,7 +711,8 @@ impl<'a> RunSim<'a> {
                 self.engine.obs.inc("faults.injected.straggler");
             }
 
-            let mut wave = self.simulate_container(idx, stage, wave_idx, tasks, straggle);
+            let mut wave =
+                self.simulate_container(idx, stage_idx, stage, wave_idx, tasks, straggle);
 
             // An injected kill takes the container down even if the wave
             // would have survived organically; organic failures win the
@@ -735,31 +777,32 @@ impl<'a> RunSim<'a> {
     /// charged in the recovery delay by the caller via `recache_ms_per_mb`).
     fn replace_container(&mut self, idx: usize, _kind: FailureKind) {
         let settings = GcSettings::from_config(&self.config);
-        let lost_cache = self.containers[idx].cache_used;
-        let mut old_trace = std::mem::take(&mut self.containers[idx].trace);
-        // Flush the dying JVM's RSS samples into the trace now — the fresh
-        // process starts a new sample log. The final sample is the peak that
-        // triggered the failure.
-        let mut last_t = self.now;
-        for &(t, rss) in self.containers[idx].jvm.rss_samples() {
-            old_trace.rss.push_clamped(t, rss);
-            last_t = last_t.max(t);
-        }
-        old_trace
-            .rss
-            .push_clamped(last_t, self.containers[idx].jvm.peak_rss());
         let rng = self.containers[idx].rng.fork(0xDEAD_BEEF);
-        let mut fresh = ContainerState::new(
+        let fresh = ContainerState::new(
             self.config.heap,
             settings,
             self.engine.cost.gc,
             self.app.code_overhead,
             rng,
+            0,
         );
-        fresh.trace = old_trace;
-        fresh.cache_used = lost_cache;
-        self.now += Millis::ms(lost_cache.as_mb() * self.engine.cost.recache_ms_per_mb);
-        self.containers[idx] = fresh;
+        let old = std::mem::replace(&mut self.containers[idx], fresh);
+        // Flush the dying JVM's RSS samples into the trace now — the fresh
+        // process starts a new sample log. The final sample is the peak that
+        // triggered the failure. Its GC events and peak occupancies die with
+        // it: the profile keeps only the last JVM's.
+        let peak_rss = old.jvm.peak_rss();
+        let (_, rss_samples) = old.jvm.into_logs();
+        let last_t = rss_samples
+            .iter()
+            .fold(self.now, |last, &(t, _)| last.max(t));
+        let mut trace = old.trace;
+        trace.rss.extend_clamped(rss_samples);
+        trace.rss.push_clamped(last_t, peak_rss);
+        let fresh = &mut self.containers[idx];
+        fresh.trace = trace;
+        fresh.cache_used = old.cache_used;
+        self.now += Millis::ms(old.cache_used.as_mb() * self.engine.cost.recache_ms_per_mb);
     }
 
     fn finish(&mut self) -> (RunResult, Profile) {
@@ -825,17 +868,15 @@ impl<'a> RunSim<'a> {
             full_gcs,
         };
 
-        let containers = self
-            .containers
-            .iter_mut()
+        let containers = std::mem::take(&mut self.containers)
+            .into_iter()
             .map(|c| {
-                let mut trace = std::mem::take(&mut c.trace);
-                trace.gc_events = c.jvm.events().to_vec();
+                let mut trace = c.trace;
                 trace.peak_heap_used = c.jvm.peak_heap_used();
                 trace.peak_old_used = c.jvm.peak_old_used();
-                for &(t, rss) in c.jvm.rss_samples() {
-                    trace.rss.push_clamped(t, rss);
-                }
+                let (gc_events, rss_samples) = c.jvm.into_logs();
+                trace.gc_events = gc_events;
+                trace.rss.extend_clamped(rss_samples);
                 trace
             })
             .collect();

@@ -25,6 +25,9 @@
 //!   threshold, then fits the sparse surrogate at n=500 and writes probe
 //!   predictions + the EI proposal as bit-exact JSONL. `scripts/check.sh`
 //!   diffs the 1-thread file against the 8-thread file.
+//! * `--engine` — measures host time and allocations per `Engine::run`
+//!   over every benchmark app's grid, clean and faulty, and writes
+//!   `BENCH_engine.json` (see the `engine` module).
 //! * `--measure-exact-large` — re-measures the *exact* GP at the large
 //!   scales (slow: a dense n=1000 hyperparameter search) and prints the
 //!   table frozen in [`baseline_exact_large`].
@@ -44,6 +47,8 @@ use serde::{Map, Number, Value};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
+
+mod engine;
 
 const SCALES: [usize; 5] = [10, 20, 30, 40, 80];
 
@@ -639,6 +644,14 @@ fn export_obs(root: &std::path::Path) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // `CARGO_MANIFEST_DIR` is crates/bench; the files live at the root.
+    let root = std::env::var("CARGO_MANIFEST_DIR")
+        .map(|d| PathBuf::from(d).join("../.."))
+        .unwrap_or_else(|_| PathBuf::from("."));
+    if args.iter().any(|a| a == "--engine") {
+        engine::export(&root);
+        return;
+    }
     if args.iter().any(|a| a == "--measure-exact-large") {
         measure_exact_large();
         return;
@@ -871,10 +884,6 @@ fn main() {
     );
     file.insert("regret_vs_exact", Value::Object(regret));
 
-    // `CARGO_MANIFEST_DIR` is crates/bench; the file lives at the root.
-    let root = std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| PathBuf::from(d).join("../.."))
-        .unwrap_or_else(|_| PathBuf::from("."));
     let out = root.join("BENCH_surrogate.json");
     let json = serde_json::to_string_pretty(&Value::Object(file)).expect("bench file serializes");
     std::fs::write(&out, json + "\n").expect("write BENCH_surrogate.json");

@@ -124,10 +124,13 @@ impl FaultPlan {
         self.config.is_off()
     }
 
+    /// The random stream at one site: FNV-1a over the plan seed, the site
+    /// tag, the run seed, the stage name's hash and up to three `coords`.
     fn site_rng(&self, site: Site, run_seed: u64, stage: &str, coords: &[u64]) -> Rng {
-        let mut parts = vec![self.seed, site as u64, run_seed, str_hash(stage)];
-        parts.extend_from_slice(coords);
-        Rng::new(site_hash(&parts))
+        let mut parts = [self.seed, site as u64, run_seed, str_hash(stage), 0, 0, 0];
+        let len = 4 + coords.len();
+        parts[4..len].copy_from_slice(coords);
+        Rng::new(site_hash(&parts[..len]))
     }
 
     /// Does this wave attempt kill `container`? Transient: a retry of the

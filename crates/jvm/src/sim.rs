@@ -299,9 +299,11 @@ impl JvmSim {
         &self.events
     }
 
-    /// RSS samples logged at GC events and wave boundaries.
-    pub fn rss_samples(&self) -> &[(Millis, Mem)] {
-        &self.rss_samples
+    /// Consumes the JVM and hands over its GC event log and its RSS
+    /// samples (logged at GC events and wave boundaries) without copying
+    /// them.
+    pub fn into_logs(self) -> (Vec<GcEvent>, Vec<(Millis, Mem)>) {
+        (self.events, self.rss_samples)
     }
 
     /// Highest RSS observed.

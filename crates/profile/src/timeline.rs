@@ -24,6 +24,13 @@ impl<T: Copy> Timeline<T> {
         Self::default()
     }
 
+    /// Creates an empty timeline with room for `capacity` samples.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Timeline {
+            samples: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Appends a sample. Samples must be pushed in non-decreasing time
     /// order; out-of-order pushes panic (they indicate a simulator bug).
     pub fn push(&mut self, time: Millis, value: T) {
@@ -42,6 +49,26 @@ impl<T: Copy> Timeline<T> {
             None => time,
         };
         self.samples.push((t, value));
+    }
+
+    /// Appends a whole sample log as if by [`Timeline::push_clamped`] on
+    /// each sample. An empty timeline adopts the log's buffer and clamps it
+    /// in place rather than copying it.
+    pub fn extend_clamped(&mut self, samples: Vec<(Millis, T)>) {
+        if !self.samples.is_empty() {
+            for (t, v) in samples {
+                self.push_clamped(t, v);
+            }
+            return;
+        }
+        self.samples = samples;
+        let mut last: Option<Millis> = None;
+        for (t, _) in &mut self.samples {
+            if let Some(last) = last {
+                *t = t.max(last);
+            }
+            last = Some(*t);
+        }
     }
 
     /// The value in effect at `time`, or `None` before the first sample.
@@ -107,6 +134,28 @@ mod tests {
         tl.push(Millis::secs(1.0), 1);
         tl.push(Millis::secs(1.0), 2);
         assert_eq!(tl.at(Millis::secs(1.0)), Some(2));
+    }
+
+    #[test]
+    fn extend_clamped_matches_push_clamped() {
+        let log = vec![
+            (Millis::secs(3.0), 1),
+            (Millis::secs(2.0), 2),
+            (Millis::secs(4.0), 3),
+            (Millis::secs(1.0), 4),
+        ];
+        for prefix in [vec![], vec![(Millis::secs(3.5), 0)]] {
+            let mut pushed = Timeline::new();
+            let mut extended = Timeline::new();
+            for &(t, v) in prefix.iter().chain(&log) {
+                pushed.push_clamped(t, v);
+            }
+            for &(t, v) in &prefix {
+                extended.push_clamped(t, v);
+            }
+            extended.extend_clamped(log.clone());
+            assert_eq!(pushed, extended);
+        }
     }
 
     #[test]

@@ -35,6 +35,15 @@ replay_dir="$(mktemp -d)"
 trap 'rm -rf "$replay_dir"' EXIT
 cargo run --release -q -p relm-experiments --bin fig05_fault_sweep -- \
   --no-cache --workers 1 >/dev/null
+# Against the committed file too: a change that shifts every simulated
+# output would still agree with itself across worker counts.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  git diff --exit-code -- results/fig05_fault_sweep.jsonl \
+    || { echo "replay smoke test FAILED: results/fig05_fault_sweep.jsonl differs from the committed file" >&2; exit 1; }
+  echo "replay OK: results/fig05_fault_sweep.jsonl matches the committed file"
+else
+  echo "replay: not a git checkout, skipping the comparison with the committed fig05_fault_sweep.jsonl"
+fi
 cp results/fig05_fault_sweep.jsonl "$replay_dir/first.jsonl"
 cargo run --release -q -p relm-experiments --bin fig05_fault_sweep -- \
   --no-cache --workers 8 >/dev/null
